@@ -19,11 +19,11 @@
 //! counters to `BENCH_sched.json` (override with `--sched-json`).
 
 use inl_bench::{
-    cholesky_variants, compile_batch, explain_section, kernel_cholesky_kjli, kernel_cholesky_left,
+    cholesky_variants, explain_section, kernel_cholesky_kjli, kernel_cholesky_left,
     kernel_cholesky_right, kernel_matmul_ikj, kernel_matmul_tiled, kernel_wavefront_sqrt_seq,
     kernel_wavefront_sqrt_skewed_parallel, spd_init,
 };
-use inl_codegen::generate;
+use inl_codegen::{compile_batch, generate};
 use inl_core::depend::analyze;
 use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
@@ -142,17 +142,17 @@ fn main() {
     inl_poly::cache::set_cache_enabled(false);
     inl_poly::cache::clear();
     let t0 = Instant::now();
-    let cold = compile_batch(&p, &variants, 1);
+    let cold = compile_batch(&p, &layout, &deps, &variants, 1).expect("batch compiles");
     let serial_cold = t0.elapsed();
     inl_poly::cache::set_cache_enabled(true);
     inl_poly::cache::clear();
     let pre_warm = inl_poly::cache::stats();
     let t0 = Instant::now();
-    let warm = compile_batch(&p, &variants, 1);
+    let warm = compile_batch(&p, &layout, &deps, &variants, 1).expect("batch compiles");
     let serial_warm = t0.elapsed();
     let post_warm = inl_poly::cache::stats();
     let t0 = Instant::now();
-    let par = compile_batch(&p, &variants, batch_threads);
+    let par = compile_batch(&p, &layout, &deps, &variants, batch_threads).expect("batch compiles");
     let parallel = t0.elapsed();
     let post_par = inl_poly::cache::stats();
     let batch_bitwise = cold

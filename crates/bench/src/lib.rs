@@ -15,11 +15,6 @@
 //!   (what a compiler's backend would emit), where cache behaviour makes
 //!   the paper's "performance can be quite different" visible.
 
-// The parallel batch driver moved to `inl_codegen::batch` (the
-// auto-scheduler drives it without depending on this crate); re-exported
-// here so the report binary and older callers keep their import paths.
-pub use inl_codegen::batch::{compile_batch, CompiledVariant};
-
 use inl_core::complete::complete_transform;
 use inl_core::depend::{analyze, DependenceMatrix};
 use inl_core::instance::InstanceLayout;
@@ -476,6 +471,7 @@ pub fn kernel_wavefront_skewed_parallel(a: &mut [f64], n: usize, threads: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inl_codegen::compile_batch;
 
     /// The explain flag is process-global: serialize the tests that sweep
     /// Cholesky orders so one test's sessions don't interleave another's.
@@ -485,8 +481,10 @@ mod tests {
     fn parallel_batch_matches_serial() {
         let _guard = EXPLAIN_LOCK.lock().unwrap();
         let (p, variants) = cholesky_variants();
-        let serial = compile_batch(&p, &variants, 1);
-        let parallel = compile_batch(&p, &variants, 4);
+        let layout = InstanceLayout::new(&p);
+        let deps = analyze(&p, &layout).expect("analysis");
+        let serial = compile_batch(&p, &layout, &deps, &variants, 1).expect("compiles");
+        let parallel = compile_batch(&p, &layout, &deps, &variants, 4).expect("compiles");
         assert_eq!(serial.len(), variants.len());
         for (s, q) in serial.iter().zip(&parallel) {
             assert_eq!(s.label, q.label);

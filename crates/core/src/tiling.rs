@@ -24,7 +24,7 @@
 //! iteration — so confining it to a tile is what shrinks the reuse
 //! distance past the cache cliff.
 
-use crate::depend::analyze;
+use crate::depend::DependenceMatrix;
 use crate::instance::InstanceLayout;
 use crate::legal::{check_legal, LegalityReport};
 use inl_ir::{Access, LoopId, Program, VarKey};
@@ -121,15 +121,15 @@ pub fn split(p: &Program, l: LoopId, tile: Int) -> Result<SplitResult, InlError>
     })
 }
 
-/// Prove the split legal: analyze the split program's dependences and
-/// check that every projection stays lexicographically non-negative under
-/// the identity transformation — i.e. the reconstructed (outer×tile)
-/// order is still the source order. Emits explain records under the
-/// `tile` stage.
-pub fn split_legal(r: &SplitResult) -> Result<LegalityReport, InlError> {
-    let deps = analyze(&r.program, &r.layout)?;
+/// Prove the split legal: given the split program's dependences `deps`
+/// (analyzed once against `r.layout` by the caller, who keeps them for
+/// everything else it does with the split program), check that every
+/// projection stays lexicographically non-negative under the identity
+/// transformation — i.e. the reconstructed (outer×tile) order is still
+/// the source order. Emits explain records under the `tile` stage.
+pub fn split_legal(r: &SplitResult, deps: &DependenceMatrix) -> Result<LegalityReport, InlError> {
     let m = IMat::identity(r.layout.len());
-    let report = check_legal(&r.program, &r.layout, &deps, &m)?;
+    let report = check_legal(&r.program, &r.layout, deps, &m)?;
     if inl_obs::explain_enabled() {
         let inner = r
             .program
@@ -215,7 +215,8 @@ mod tests {
             for tile in [2, 16, 64] {
                 let r = split(&p, l, tile).expect("split");
                 assert!(r.program.validate().is_ok(), "{:?}", r.program.validate());
-                let report = split_legal(&r).expect("analysis");
+                let deps = crate::depend::analyze(&r.program, &r.layout).expect("analysis");
+                let report = split_legal(&r, &deps).expect("legality");
                 assert!(
                     report.is_legal(),
                     "{} tile {tile}: {:?}",

@@ -4,23 +4,28 @@
 //!
 //! # Design
 //!
-//! * **Hot path is lock-free.** Each thread records into its own ring via
-//!   a thread-local — no atomics, no locks, no allocation past the ring's
-//!   capacity. While the layer is disabled every probe is one relaxed
-//!   atomic load (the flag byte shared with the aggregate layer).
+//! * **Hot path is uncontended.** Each thread records into its own ring
+//!   via a thread-local, behind a per-ring lock that only a snapshot ever
+//!   contends for — no allocation past the ring's capacity. While the
+//!   layer is disabled every probe is one relaxed atomic load (the flag
+//!   byte shared with the aggregate layer) and no ring is touched.
 //! * **Bounded.** A ring holds at most [`capacity`] events (default
 //!   16384, `INL_TRACE_CAP` or [`set_capacity`] override). On overflow
-//!   the *oldest* event is dropped and counted — recording never blocks,
-//!   never reallocates, never panics.
+//!   the *oldest* event is dropped and counted — recording never waits
+//!   for space, never reallocates, never panics.
+//! * **Every ring is registered at creation.** A thread's first event
+//!   registers its ring in a global registry, so [`export_chrome_trace`],
+//!   [`dropped_total`] and [`reset`] see the rings of *running* threads
+//!   too — including workers that have left `thread::scope` but whose
+//!   thread-local destructors have not run yet. No event is lost to that
+//!   window.
 //! * **Rings retire on thread exit.** When a thread finishes (e.g. the
-//!   parallel executor's scoped workers), its ring moves into a global
-//!   retired list, and its timeline id returns to a pool so short-lived
-//!   workers reuse display rows instead of growing the trace unboundedly.
-//!   [`export_chrome_trace`] sees every retired ring plus the calling thread's live
-//!   ring; live events on *other* still-running threads are not visible
-//!   until those threads exit. The retired list itself is bounded
-//!   ([`RETAIN_EVENT_BUDGET`]); beyond it whole oldest rings are dropped
-//!   and counted.
+//!   parallel executor's scoped workers), its ring moves from the live
+//!   set into a retired list under the registry lock, and its timeline
+//!   id returns to a pool so short-lived workers reuse display rows
+//!   instead of growing the trace unboundedly. The retired list is
+//!   bounded ([`RETAIN_EVENT_BUDGET`]); beyond it whole oldest rings are
+//!   dropped and counted.
 //!
 //! Durations are recorded as Chrome "complete" events (`ph: "X"` — one
 //! ring slot per slice, immune to begin/end unpairing under overflow);
@@ -37,7 +42,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity (events).
@@ -94,7 +99,7 @@ fn instant_ns(at: Instant) -> u64 {
 // ------------------------------------------------------------------ rings
 
 /// One thread's bounded event buffer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Ring {
     tid: u32,
     thread_name: String,
@@ -113,10 +118,21 @@ impl Ring {
     }
 }
 
+/// A ring shared between its recording thread (through the thread-local)
+/// and the registry. Lock order: the registry first, then a ring.
+type SharedRing = Arc<Mutex<Ring>>;
+
+fn lock_ring(ring: &SharedRing) -> MutexGuard<'_, Ring> {
+    ring.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[derive(Default)]
-struct Retired {
-    rings: VecDeque<Ring>,
-    /// Total events currently held across `rings`.
+struct Registry {
+    /// Rings of threads that have not exited yet.
+    live: Vec<SharedRing>,
+    /// Rings of exited threads, oldest first.
+    retired: VecDeque<Ring>,
+    /// Total events currently held across `retired`.
     held: usize,
     /// Events lost to ring overflow or retired-ring eviction, beyond what
     /// surviving rings still report themselves.
@@ -125,10 +141,10 @@ struct Retired {
     free_tids: Vec<u32>,
 }
 
-fn retired() -> MutexGuard<'static, Retired> {
-    static RETIRED: OnceLock<Mutex<Retired>> = OnceLock::new();
-    RETIRED
-        .get_or_init(|| Mutex::new(Retired::default()))
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| Mutex::new(Registry::default()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
 }
@@ -149,34 +165,53 @@ pub fn set_capacity(cap: usize) {
     capacity_cell().store(cap.max(1), Ordering::Relaxed);
 }
 
-fn next_tid() -> u32 {
-    if let Some(tid) = retired().free_tids.pop() {
-        return tid;
-    }
+/// Create the calling thread's ring and register it as live.
+fn register_ring() -> SharedRing {
     static NEXT: AtomicU32 = AtomicU32::new(0);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    let mut reg = registry();
+    let tid = reg
+        .free_tids
+        .pop()
+        .unwrap_or_else(|| NEXT.fetch_add(1, Ordering::Relaxed));
+    let thread_name = std::thread::current()
+        .name()
+        .map(str::to_owned)
+        .unwrap_or_else(|| format!("worker-{tid}"));
+    let cap = capacity();
+    let ring = Arc::new(Mutex::new(Ring {
+        tid,
+        thread_name,
+        events: VecDeque::with_capacity(cap.min(1024)),
+        cap,
+        dropped: 0,
+    }));
+    reg.live.push(Arc::clone(&ring));
+    ring
 }
 
-/// Thread-local ring wrapper whose drop (at thread exit) retires the ring
-/// into the global list.
-struct LocalRing(Option<Ring>);
+/// Thread-local ring handle whose drop (at thread exit) retires the ring.
+struct LocalRing(Option<SharedRing>);
 
 impl Drop for LocalRing {
     fn drop(&mut self) {
         if let Some(ring) = self.0.take() {
-            retire(ring);
+            retire(&ring);
         }
     }
 }
 
-fn retire(ring: Ring) {
-    let mut r = retired();
+/// Move a live ring into the retired list (one registry critical
+/// section, so a concurrent snapshot sees it exactly once).
+fn retire(shared: &SharedRing) {
+    let mut r = registry();
+    r.live.retain(|x| !Arc::ptr_eq(x, shared));
+    let ring = std::mem::take(&mut *lock_ring(shared));
     r.free_tids.push(ring.tid);
     if !ring.events.is_empty() {
         r.held += ring.events.len();
-        r.rings.push_back(ring);
+        r.retired.push_back(ring);
         while r.held > RETAIN_EVENT_BUDGET {
-            let Some(old) = r.rings.pop_front() else {
+            let Some(old) = r.retired.pop_front() else {
                 break;
             };
             r.held -= old.events.len();
@@ -194,22 +229,8 @@ thread_local! {
 fn record(ev: Event) {
     RING.with(|cell| {
         let mut local = cell.borrow_mut();
-        let ring = local.0.get_or_insert_with(|| {
-            let tid = next_tid();
-            let thread_name = std::thread::current()
-                .name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("worker-{tid}"));
-            let cap = capacity();
-            Ring {
-                tid,
-                thread_name,
-                events: VecDeque::with_capacity(cap.min(1024)),
-                cap,
-                dropped: 0,
-            }
-        });
-        ring.push(ev);
+        let ring = local.0.get_or_insert_with(register_ring);
+        lock_ring(ring).push(ev);
     });
 }
 
@@ -314,56 +335,45 @@ pub(crate) fn complete_from(name: &'static str, start: Instant, dur_ns: u64) {
     });
 }
 
-/// Drop every recorded event: retired rings, the calling thread's live
-/// ring, and the eviction tally. Rings on other live threads are cleared
-/// when those threads exit their next event is recorded into a fresh ring
-/// — for deterministic tests, reset from the only recording thread.
+/// Drop every recorded event: retired rings, every live ring (on any
+/// thread), and the eviction tally.
 pub fn reset() {
-    {
-        let mut r = retired();
-        r.rings.clear();
-        r.held = 0;
-        r.evicted = 0;
+    let mut r = registry();
+    r.retired.clear();
+    r.held = 0;
+    r.evicted = 0;
+    for ring in &r.live {
+        let mut ring = lock_ring(ring);
+        ring.events.clear();
+        ring.dropped = 0;
     }
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow_mut().0.as_mut() {
-            ring.events.clear();
-            ring.dropped = 0;
-        }
-    });
 }
 
-/// Total events dropped so far (ring overflow on retired rings and the
-/// current thread, plus whole-ring evictions from the retired list).
+/// Total events dropped so far (ring overflow on retired and live rings,
+/// plus whole-ring evictions from the retired list).
 pub fn dropped_total() -> u64 {
-    let mut total = {
-        let r = retired();
-        r.evicted + r.rings.iter().map(|ring| ring.dropped).sum::<u64>()
-    };
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow().0.as_ref() {
-            total += ring.dropped;
-        }
-    });
-    total
+    let r = registry();
+    r.evicted
+        + r.retired.iter().map(|ring| ring.dropped).sum::<u64>()
+        + r.live
+            .iter()
+            .map(|ring| lock_ring(ring).dropped)
+            .sum::<u64>()
 }
 
 // ---------------------------------------------------------------- export
 
 fn snapshot() -> (Vec<Ring>, u64) {
-    let (mut rings, evicted) = {
-        let r = retired();
-        (r.rings.iter().cloned().collect::<Vec<_>>(), r.evicted)
-    };
-    RING.with(|cell| {
-        if let Some(ring) = cell.borrow().0.as_ref() {
-            if !ring.events.is_empty() {
-                rings.push(ring.clone());
-            }
+    let r = registry();
+    let mut rings: Vec<Ring> = r.retired.iter().cloned().collect();
+    for ring in &r.live {
+        let ring = lock_ring(ring);
+        if !ring.events.is_empty() {
+            rings.push(ring.clone());
         }
-    });
+    }
     rings.sort_by_key(|r| r.tid);
-    (rings, evicted)
+    (rings, r.evicted)
 }
 
 fn event_json(ev: &Event, tid: u32) -> Json {
@@ -399,8 +409,8 @@ fn event_json(ev: &Event, tid: u32) -> Json {
     obj
 }
 
-/// Export everything visible from the calling thread as a Chrome
-/// trace-event JSON object (`traceEvents` array plus thread-name metadata
+/// Export every recorded event — retired rings and the live rings of
+/// running threads — as a Chrome trace-event JSON object (`traceEvents` array plus thread-name metadata
 /// and drop statistics in `otherData`). Non-destructive: successive
 /// exports see accumulated events; use [`reset`] to start over.
 pub fn export_chrome_trace() -> Json {
@@ -549,46 +559,60 @@ mod tests {
     }
 
     #[test]
+    fn live_rings_of_running_threads_are_exported() {
+        let _g = begin();
+        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            instant("tl.test.live");
+            recorded_tx.send(()).unwrap();
+            exit_rx.recv().ok();
+        });
+        recorded_rx.recv().unwrap();
+        // the worker is still running, so its ring has not retired
+        let trace = export_chrome_trace();
+        exit_tx.send(()).unwrap();
+        worker.join().unwrap();
+        let Some(Json::Array(events)) = trace.get("traceEvents") else {
+            panic!("missing traceEvents")
+        };
+        let live = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("tl.test.live"))
+            .count();
+        assert_eq!(live, 1, "a running thread's event must be exported");
+        crate::set_timeline_enabled(false);
+    }
+
+    #[test]
     fn worker_rings_retire_with_distinct_tids() {
         let _g = begin();
         // Both workers record *before* either exits (tids are pooled on
         // thread exit, so a fully-sequential pair could share one).
-        //
-        // Retried: ring retirement runs at *thread exit*, outside
-        // TEST_LOCK, so a harness thread from an already-finished test
-        // can retire a stale ring mid-attempt and evict one of ours
-        // from the bounded retired list.
-        let mut tids: Vec<u64> = Vec::new();
-        for _ in 0..3 {
-            reset();
-            instant("tl.test.main");
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| {
-                        {
-                            let _sl = scope("tl.test.worker");
-                            std::hint::black_box(0);
-                        }
-                        barrier.wait();
-                    });
-                }
-            });
-            let trace = export_chrome_trace();
-            let Some(Json::Array(events)) = trace.get("traceEvents") else {
-                panic!("missing traceEvents")
-            };
-            tids = events
-                .iter()
-                .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-                .filter_map(|e| e.get("tid").and_then(Json::as_u64))
-                .collect();
-            tids.sort_unstable();
-            tids.dedup();
-            if tids.len() >= 3 {
-                break;
+        instant("tl.test.main");
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    {
+                        let _sl = scope("tl.test.worker");
+                        std::hint::black_box(0);
+                    }
+                    barrier.wait();
+                });
             }
-        }
+        });
+        let trace = export_chrome_trace();
+        let Some(Json::Array(events)) = trace.get("traceEvents") else {
+            panic!("missing traceEvents")
+        };
+        let mut tids: Vec<u64> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
+            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
+            .collect();
+        tids.sort_unstable();
+        tids.dedup();
         assert!(tids.len() >= 3, "main + 2 workers expected: {tids:?}");
         crate::set_timeline_enabled(false);
     }

@@ -22,13 +22,22 @@
 //! with statement reordering (the edge rows) supplied by the completion
 //! procedure's topological sort, so it never has to be searched.
 //!
+//! The §3 dependence matrix belongs to the program, not to any one
+//! candidate, so each shape's program is analyzed exactly once, when the
+//! shape is enumerated (a tile split is analyzed once to prove it legal,
+//! and an admitted split keeps that analysis). That one
+//! `(layout, deps)` pair then serves the shape's prefix checks, its
+//! completions, the batch compile of its variants and the alignment
+//! refinement; [`SearchStats::analyses`] counts the calls.
+//!
 //! Illegal *prefixes* are pruned with
 //! [`inl_core::complete::check_prefix`]: the first dependence whose
 //! projection goes lexicographically negative kills the entire subtree,
 //! which is what keeps the tree far below the `Σ_d P(L,d)·2^d` exhaustive
 //! node count (see [`SearchStats::prune_rate_pct`]). Surviving variants
-//! are compiled through [`inl_codegen::compile_batch`] — a cache-warm
-//! batched sweep, not N cold compiles — and ranked by the static
+//! are compiled through [`inl_codegen::compile_batch`] — one
+//! `generate` per variant against the shared analysis, on a cache-warm
+//! thread pool — and ranked by the static
 //! [`Cost`] key computed from each variant's
 //! [`inl_codegen::CostFeatures`]. Every decision (pruned subtree,
 //! dominated variant, chosen variant) is recorded as `inl_obs::explain`
@@ -43,6 +52,8 @@
 //! assert!(result.stats.nodes_visited < result.stats.nodes_exhaustive);
 //! assert!(result.stats.pruned_subtrees > 0);
 //! assert!(result.legal.contains(&result.chosen().label));
+//! // one dependence analysis per searched shape
+//! assert_eq!(result.stats.analyses, result.stats.shapes);
 //! println!("chosen: {}", result.chosen().label);
 //! ```
 
@@ -55,10 +66,8 @@ pub mod sweep;
 pub use cost::Cost;
 pub use search::SearchStats;
 
-use inl_codegen::{compile_batch, generate, CostFeatures};
+use inl_codegen::{compile_batch, generate, CodegenError, CostFeatures};
 use inl_core::complete::CompletionError;
-use inl_core::depend::analyze;
-use inl_core::instance::InstanceLayout;
 use inl_core::transform::Transform;
 use inl_ir::Program;
 use inl_linalg::{IMat, InlError};
@@ -72,6 +81,9 @@ pub enum SchedError {
     /// A prefix-legality probe failed (arithmetic overflow or a
     /// polyhedral budget, not an illegal prefix — those are pruned).
     Prefix(CompletionError),
+    /// Code generation of a variant the search proved legal failed
+    /// (arithmetic overflow, a polyhedral budget, or a bound merge).
+    Codegen(CodegenError),
     /// The search found no legal variant (the identity shape's identity
     /// order is always legal for well-formed programs, so this signals a
     /// malformed input or an exhausted budget).
@@ -83,6 +95,7 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::Analysis(e) => write!(f, "analysis failed: {e}"),
             SchedError::Prefix(e) => write!(f, "prefix check failed: {e:?}"),
+            SchedError::Codegen(e) => write!(f, "code generation failed: {e:?}"),
             SchedError::NoLegalVariant => write!(f, "no legal variant found"),
         }
     }
@@ -189,6 +202,8 @@ pub struct ScheduledVariant {
     pub label: String,
     /// The shape this variant lives in (`""` = identity shape).
     pub shape: String,
+    /// Index of that shape in the run's shape enumeration (identity = 0).
+    pub shape_index: usize,
     /// The completed transformation matrix over the shape's program.
     pub matrix: IMat,
     /// The generated program (runnable through `inl-exec`).
@@ -212,6 +227,10 @@ pub struct ScheduleResult {
     /// Labels of all legal variants in cost order (convenience mirror of
     /// `variants`).
     pub legal: Vec<String>,
+    /// The searched shape programs, indexed by
+    /// [`ScheduledVariant::shape_index`]: a variant's matrix maps the
+    /// instance vectors of `shapes[v.shape_index]`.
+    pub shapes: Vec<Program>,
 }
 
 impl ScheduleResult {
@@ -238,22 +257,30 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     }
 
     let mut stats = SearchStats::default();
-    let shapes = search::enumerate_shapes(p, cfg)?;
+    let shapes = search::enumerate_shapes(p, cfg, &mut stats)?;
     stats.shapes = shapes.len() as u64;
 
     let mut variants: Vec<ScheduledVariant> = Vec::new();
-    for shape in &shapes {
-        let found = search::search_shape(&shape.label, &shape.program, cfg, &mut stats)?;
+    for (shape_index, shape) in shapes.iter().enumerate() {
+        let found = search::search_shape(shape, cfg, &mut stats)?;
         if found.is_empty() {
             continue;
         }
-        let compiled = compile_batch(&shape.program, &found, cfg.threads);
+        let compiled = compile_batch(
+            &shape.program,
+            &shape.layout,
+            &shape.deps,
+            &found,
+            cfg.threads,
+        )
+        .map_err(SchedError::Codegen)?;
         for (cv, (_, matrix)) in compiled.into_iter().zip(found) {
             let label = format!("{}{}", search::shape_prefix(&shape.label), cv.label);
             let cost = Cost::of(&cv.features);
             variants.push(ScheduledVariant {
                 label,
                 shape: shape.label.clone(),
+                shape_index,
                 matrix,
                 program: cv.program,
                 pseudocode: cv.pseudocode,
@@ -280,12 +307,8 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
     });
 
     if cfg.align {
-        let shape_program = shapes
-            .iter()
-            .find(|s| s.label == variants[0].shape)
-            .map(|s| s.program.clone())
-            .expect("chosen variant's shape");
-        refine_alignment(&shape_program, &mut variants[0], cfg, &mut stats)?;
+        let chosen = &mut variants[0];
+        refine_alignment(&shapes[chosen.shape_index], chosen, &mut stats);
     }
 
     if explain {
@@ -324,21 +347,17 @@ pub fn schedule_with(p: &Program, cfg: &SchedConfig) -> Result<ScheduleResult, S
         variants,
         stats,
         legal,
+        shapes: shapes.into_iter().map(|s| s.program).collect(),
     })
 }
 
 /// Try statement-alignment offsets (§4.3) on the front-runner: compose
 /// `Align(stmt, loop, ±1)` with the chosen matrix and adopt the result
 /// only when it generates legally *and* strictly improves the cost.
-fn refine_alignment(
-    shape_p: &Program,
-    chosen: &mut ScheduledVariant,
-    _cfg: &SchedConfig,
-    stats: &mut SearchStats,
-) -> Result<(), SchedError> {
+/// Every candidate is generated against the chosen shape's one analysis.
+fn refine_alignment(shape: &search::Shape, chosen: &mut ScheduledVariant, stats: &mut SearchStats) {
     let _span = inl_obs::span("sched.align");
-    let layout = InstanceLayout::new(shape_p);
-    let deps = analyze(shape_p, &layout).map_err(SchedError::Analysis)?;
+    let (shape_p, layout, deps) = (&shape.program, &shape.layout, &shape.deps);
     let explain = inl_obs::explain_enabled();
     for s in shape_p.stmts() {
         for &l in &shape_p.loops_surrounding(s) {
@@ -349,14 +368,14 @@ fn refine_alignment(
                     offset,
                 };
                 // statements without a distinguishing edge can't be aligned
-                let Ok(am) = t.try_matrix(shape_p, &layout) else {
+                let Ok(am) = t.try_matrix(shape_p, layout) else {
                     continue;
                 };
                 let Ok(m2) = am.checked_mul(&chosen.matrix) else {
                     continue;
                 };
                 stats.align_tried += 1;
-                let Ok(r) = generate(shape_p, &layout, &deps, &m2) else {
+                let Ok(r) = generate(shape_p, layout, deps, &m2) else {
                     continue; // illegal alignment: not an improvement
                 };
                 let cost = Cost::of(&r.features);
@@ -384,7 +403,6 @@ fn refine_alignment(
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -500,6 +518,38 @@ mod tests {
                 r.variants[0].program.name(),
                 r.chosen().label
             );
+        }
+    }
+
+    #[test]
+    fn one_analysis_per_shape_plus_rejected_split() {
+        // every zoo program is analyzed once per shape, plus once per
+        // tile split its legality check turned away — and the counter
+        // agrees with the `depend.analyze` spans the run actually opened
+        use inl_core::tiling::{innermost_reuse_loop, split, split_legal};
+        let cfg = quiet_cfg();
+        for (name, ctor, _) in crate::sweep::SWEEP_ZOO {
+            let p = ctor();
+            let rejected_splits = innermost_reuse_loop(&p).map_or(0, |l| {
+                cfg.tile_sizes
+                    .iter()
+                    .filter(|&&t| {
+                        let r = split(&p, l, t).expect("split");
+                        let deps = inl_core::analyze(&r.program, &r.layout).expect("analysis");
+                        !split_legal(&r, &deps).expect("legality").is_legal()
+                    })
+                    .count() as u64
+            });
+            let (r, capture) = inl_obs::capture::with(|| schedule_with(&p, &cfg));
+            let stats = r.expect("schedules").stats;
+            assert_eq!(stats.analyses, stats.shapes + rejected_splits, "{name}");
+            let spans: u64 = capture
+                .stages
+                .iter()
+                .filter(|(path, _)| path.rsplit('/').next() == Some("depend.analyze"))
+                .map(|(_, stat)| stat.count)
+                .sum();
+            assert_eq!(spans, stats.analyses, "{name}: uncounted analyze calls");
         }
     }
 

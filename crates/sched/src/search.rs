@@ -18,6 +18,11 @@
 //! [`enumerate_shapes`] yields the identity shape plus every legal
 //! one-level loop distribution and loop fusion, each a distinct program
 //! whose own tree is searched; costs compare globally across shapes.
+//!
+//! Each shape's program is analyzed exactly once, when the shape is
+//! enumerated: its [`Shape::layout`] and [`Shape::deps`] then serve the
+//! shape's legality test, its whole search tree, the batch compile of its
+//! variants and the alignment refinement.
 
 use crate::{SchedConfig, SchedError};
 use inl_core::complete::{check_prefix, complete_transform, PrefixCheck};
@@ -56,6 +61,9 @@ pub struct SearchStats {
     pub align_adopted: u64,
     /// `true` when the node budget stopped the search early.
     pub budget_exhausted: bool,
+    /// `depend::analyze` calls the run made: one per shape plus one per
+    /// tile split whose legality check rejected it.
+    pub analyses: u64,
 }
 
 impl SearchStats {
@@ -77,6 +85,39 @@ pub struct Shape {
     pub label: String,
     /// The shaped program (the identity shape is the source program).
     pub program: Program,
+    /// Instance layout of `program`.
+    pub layout: InstanceLayout,
+    /// `program`'s dependence matrix — the one analysis every candidate
+    /// matrix of this shape is tested and generated against.
+    pub deps: DependenceMatrix,
+}
+
+/// Analyze `p` against `layout`, counting the call in `stats.analyses`.
+fn analyze_counted(
+    p: &Program,
+    layout: &InstanceLayout,
+    stats: &mut SearchStats,
+) -> Result<DependenceMatrix, SchedError> {
+    stats.analyses += 1;
+    analyze(p, layout).map_err(SchedError::Analysis)
+}
+
+impl Shape {
+    /// Analyze `program` once and wrap it as a shape.
+    fn analyzed(
+        label: String,
+        program: Program,
+        layout: InstanceLayout,
+        stats: &mut SearchStats,
+    ) -> Result<Shape, SchedError> {
+        let deps = analyze_counted(&program, &layout, stats)?;
+        Ok(Shape {
+            label,
+            program,
+            layout,
+            deps,
+        })
+    }
 }
 
 /// `n·(n-1)·…·(n-k+1)` — permutations of `k` out of `n`.
@@ -99,34 +140,39 @@ fn subtree_nodes(remaining: u64, r: u64) -> u64 {
 
 /// Enumerate the shape axis: identity, plus every legal one-level loop
 /// distribution and loop fusion. Illegal candidates are recorded as
-/// explain rejections (stage `sched`).
-pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Shape>, SchedError> {
-    let mut shapes = vec![Shape {
-        label: String::new(),
-        program: p.clone(),
-    }];
+/// explain rejections (stage `sched`). Every shape comes back analyzed;
+/// the identity shape's analysis is also the one the distribution and
+/// jamming legality tests read.
+pub(crate) fn enumerate_shapes(
+    p: &Program,
+    cfg: &SchedConfig,
+    stats: &mut SearchStats,
+) -> Result<Vec<Shape>, SchedError> {
+    let mut shapes = vec![Shape::analyzed(
+        String::new(),
+        p.clone(),
+        InstanceLayout::new(p),
+        stats,
+    )?];
     let explain = inl_obs::explain_enabled();
     if cfg.tile {
-        enumerate_tiles(p, cfg, explain, &mut shapes)?;
+        enumerate_tiles(p, cfg, explain, stats, &mut shapes)?;
     }
     if !cfg.shapes {
         return Ok(shapes);
     }
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout).map_err(SchedError::Analysis)?;
+    let (layout, deps) = (&shapes[0].layout, &shapes[0].deps);
+    let mut derived = Vec::new();
 
     // one-level distributions: split any loop with >= 2 children
     for l in p.loops() {
         let ld = p.loop_decl(l);
         for split in 1..ld.children.len() {
-            let legal = distribution_legal(p, &deps, l, split).map_err(SchedError::Analysis)?;
+            let legal = distribution_legal(p, deps, l, split).map_err(SchedError::Analysis)?;
             let label = format!("dist({}@{split})", ld.name);
             if legal {
-                let r = distribute(p, &layout, l, split).map_err(SchedError::Analysis)?;
-                shapes.push(Shape {
-                    label,
-                    program: r.target,
-                });
+                let r = distribute(p, layout, l, split).map_err(SchedError::Analysis)?;
+                derived.push((label, r));
             } else if explain {
                 inl_obs::explain::reject(
                     "sched",
@@ -155,13 +201,10 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
             let label = format!("jam({}+{})", p.loop_decl(a).name, p.loop_decl(b).name);
             // structurally un-jammable pairs (mismatched bounds/steps) are
             // not candidates at all; only a *dependence* veto is a decision
-            match jamming_legal(p, &deps, parent, idx) {
+            match jamming_legal(p, deps, parent, idx) {
                 Ok(true) => {
-                    let r = jam(p, &layout, parent, idx).map_err(SchedError::Analysis)?;
-                    shapes.push(Shape {
-                        label,
-                        program: r.target,
-                    });
+                    let r = jam(p, layout, parent, idx).map_err(SchedError::Analysis)?;
+                    derived.push((label, r));
                 }
                 Ok(false) => {
                     if explain {
@@ -177,19 +220,24 @@ pub(crate) fn enumerate_shapes(p: &Program, cfg: &SchedConfig) -> Result<Vec<Sha
             }
         }
     }
+    for (label, r) in derived {
+        shapes.push(Shape::analyzed(label, r.target, r.target_layout, stats)?);
+    }
     Ok(shapes)
 }
 
 /// The tile axis: strip-mine the innermost reuse-carrying loop by each
 /// candidate size. Each admitted split becomes a shape whose own
 /// permutation×reversal tree is prefix-pruned like every other shape's.
-/// `inl_core::tiling::split_legal` records the per-split accept/reject
-/// explain evidence under the `tile` stage; the no-candidate case is
-/// rejected here.
+/// Each split is analyzed once; an admitted split hands that analysis
+/// straight to its shape. `inl_core::tiling::split_legal` records the
+/// per-split accept/reject explain evidence under the `tile` stage; the
+/// no-candidate case is rejected here.
 fn enumerate_tiles(
     p: &Program,
     cfg: &SchedConfig,
     explain: bool,
+    stats: &mut SearchStats,
     shapes: &mut Vec<Shape>,
 ) -> Result<(), SchedError> {
     let Some(l) = inl_core::tiling::innermost_reuse_loop(p) else {
@@ -206,11 +254,14 @@ fn enumerate_tiles(
     for &t in &cfg.tile_sizes {
         let label = format!("tile({}@{t})", p.loop_decl(l).name);
         let r = inl_core::tiling::split(p, l, t).map_err(SchedError::Analysis)?;
-        let report = inl_core::tiling::split_legal(&r).map_err(SchedError::Analysis)?;
+        let deps = analyze_counted(&r.program, &r.layout, stats)?;
+        let report = inl_core::tiling::split_legal(&r, &deps).map_err(SchedError::Analysis)?;
         if report.is_legal() {
             shapes.push(Shape {
                 label,
                 program: r.program,
+                layout: r.layout,
+                deps,
             });
         }
     }
@@ -221,18 +272,16 @@ fn enumerate_tiles(
 /// `'` marking reversed loops) and its completed transformation matrix.
 pub(crate) type ShapeVariant = (String, IMat);
 
-/// Search one shape's permutation×reversal tree. Returns the legal
-/// variants; updates `stats` (including `nodes_exhaustive` for this
-/// shape's tree).
+/// Search one shape's permutation×reversal tree against the shape's own
+/// analysis. Returns the legal variants; updates `stats` (including
+/// `nodes_exhaustive` for this shape's tree).
 pub(crate) fn search_shape(
-    shape_label: &str,
-    p: &Program,
+    shape: &Shape,
     cfg: &SchedConfig,
     stats: &mut SearchStats,
 ) -> Result<Vec<ShapeVariant>, SchedError> {
     let _span = inl_obs::span("sched.search");
-    let layout = InstanceLayout::new(p);
-    let deps = analyze(p, &layout).map_err(SchedError::Analysis)?;
+    let (p, layout) = (&shape.program, &shape.layout);
     // `p.loops()` enumerates the decl table; a jammed shape keeps the
     // fused-away loop as an orphan decl with no layout position, so only
     // loops the layout actually embeds are searchable
@@ -244,10 +293,10 @@ pub(crate) fn search_shape(
     stats.nodes_exhaustive += exhaustive_nodes(loops.len() as u64, signs.len() as u64);
 
     let mut ctx = Dfs {
-        shape_label,
+        shape_label: &shape.label,
         p,
-        layout: &layout,
-        deps: &deps,
+        layout,
+        deps: &shape.deps,
         cfg,
         stats,
         signs,

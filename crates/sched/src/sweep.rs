@@ -321,6 +321,7 @@ pub fn bench_json_with_errors(
         o.insert("pruned_nodes", Json::Int(e.stats.pruned_nodes));
         o.insert("legal_variants", Json::Int(e.stats.legal_variants));
         o.insert("shapes", Json::Int(e.stats.shapes));
+        o.insert("analyses", Json::Int(e.stats.analyses));
         o.insert(
             "completion_failures",
             Json::Int(e.stats.completion_failures),
@@ -407,6 +408,7 @@ mod tests {
             "nodes_exhaustive",
             "pruned_subtrees",
             "legal_variants",
+            "analyses",
             "within_tier",
             "chosen_ns",
         ] {

@@ -198,7 +198,8 @@ fn tiled_search_matches_brute_force_on_split_program() {
     let p = zoo::matmul();
     let l = inl_core::tiling::innermost_reuse_loop(&p).expect("matmul carries reuse on K");
     let r = inl_core::tiling::split(&p, l, 4).expect("split");
-    assert!(inl_core::tiling::split_legal(&r)
+    let deps = analyze(&r.program, &r.layout).expect("analysis");
+    assert!(inl_core::tiling::split_legal(&r, &deps)
         .expect("legality")
         .is_legal());
     let expected = brute_force_legal(&r.program, false);

@@ -194,17 +194,16 @@ mod tests {
 
     #[test]
     fn instance_counters_match_instance_count() {
-        inl_obs::reset();
-        inl_obs::set_enabled(true);
+        // a thread-local capture, so VM runs of concurrently running
+        // tests cannot add to the global counters this test reads
         let p = zoo::simple_cholesky();
         let cp = compile(&p);
         let bp = cp.bind(&[4]);
         let mut buf = init_buf(&bp, &|_, _| 9.0);
-        run(&bp, &mut buf);
+        let ((), capture) = inl_obs::capture::with(|| run(&bp, &mut buf));
         // N=4: S1 runs 4 times; S2 runs 3+2+1 = 6 times
-        assert_eq!(inl_obs::counter_value("vm.instances"), 10);
-        assert!(inl_obs::counter_value("vm.instrs") >= 10);
-        inl_obs::set_enabled(false);
+        assert_eq!(capture.counters.get("vm.instances"), Some(&10));
+        assert!(capture.counters.get("vm.instrs").is_some_and(|&n| n >= 10));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and parameter bindings, under the same two adversarial initial-state
 //! regimes the VM differential uses.
 
+use inl::core::depend::analyze;
 use inl::core::tiling::{split, split_legal};
 use inl::exec::{run_fresh_with, Backend};
 use inl::ir::{zoo, LoopId, Program};
@@ -77,7 +78,8 @@ proptest! {
             return Ok(()); // splitting is defined for step-1 loops only
         }
         let r = split(&p, l, tile as i128).expect("step-1 split");
-        let report = split_legal(&r).expect("legality analysis");
+        let deps = analyze(&r.program, &r.layout).expect("dependence analysis");
+        let report = split_legal(&r, &deps).expect("legality");
         prop_assert!(
             report.is_legal(),
             "strip-mining {} of {} must be order-preserving",
