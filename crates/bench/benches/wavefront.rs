@@ -1,7 +1,7 @@
 //! E8 — parallelization via the framework (§7): the wavefront recurrence,
 //! sequential vs. the skewed schedule with a parallel inner loop, as
 //! hand-compiled kernels; plus the interpreter-level outer-parallel
-//! speedup on row-wise prefix sums (both the tree-walking and the
+//! speedup on row-wise prefix sums (the parallel executor runs on the
 //! `inl-vm` bytecode path), and interp-vs-VM on the sequential wavefront.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -70,13 +70,6 @@ fn outer_parallel_interpreter(c: &mut Criterion) {
     });
     {
         let threads = 2usize;
-        group.bench_function(format!("parallel_{threads}t"), |b| {
-            b.iter(|| {
-                let mut m = Machine::new(&qpar, &[n], &init);
-                ParallelExecutor::new(&qpar, threads).run(&mut m);
-                black_box(m.array_by_name("B").unwrap()[5]);
-            })
-        });
         group.bench_function(format!("parallel_vm_{threads}t"), |b| {
             b.iter(|| {
                 let mut m = Machine::new(&qpar, &[n], &init);

@@ -473,7 +473,7 @@ fn main() {
     for threads in [2usize, max_threads.max(2)] {
         let mut par = Machine::new(&skewed.program, &[nwf], &winit);
         let dt = timed(&format!("report.e8.framework/{threads}t"), 1, || {
-            ParallelExecutor::new(&skewed.program, threads).run(&mut par);
+            ParallelExecutor::new(&skewed.program, threads).run_vm(&mut par);
         });
         let ok = wseq.same_state(&par).is_ok();
         println!(

@@ -6,10 +6,10 @@
 //! and passes `(layout, deps)` in; each job is then `generate` alone.
 //! The poly query cache (`inl_poly::cache`) is what makes the repeated
 //! legality and bound sub-systems cheap across jobs. Workers pull jobs
-//! from a shared atomic index (the same work-stealing-free queue idiom as
-//! `inl_exec::ParallelExecutor`) and every job records a `batch.compile`
-//! timeline slice tagged with its variant index, so a Chrome trace shows
-//! the per-variant schedule across worker threads.
+//! from a shared atomic index (a work-stealing-free queue) and every job
+//! records a `batch.compile` timeline slice tagged with its variant
+//! index, so a Chrome trace shows the per-variant schedule across worker
+//! threads.
 
 use crate::cost::CostFeatures;
 use crate::generate::{generate, CodegenError};

@@ -658,7 +658,6 @@ fn divergence(p: &Program, a: StmtId, b: StmtId) -> (Option<LoopId>, usize, usiz
 
 /// Stable topological order of `0..c` under `before` edges; `None` on a
 /// cycle. Prefers the smallest available original index (stability).
-#[allow(clippy::question_mark)] // the let-else reads better than `?` on find()
 fn topo_order(c: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
     let mut indeg = vec![0usize; c];
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); c];
@@ -672,9 +671,7 @@ fn topo_order(c: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
     let mut out = Vec::with_capacity(c);
     let mut done = vec![false; c];
     while out.len() < c {
-        let Some(next) = (0..c).find(|&i| !done[i] && indeg[i] == 0) else {
-            return None;
-        };
+        let next = (0..c).find(|&i| !done[i] && indeg[i] == 0)?;
         done[next] = true;
         out.push(next);
         for &t in &adj[next] {

@@ -1,8 +1,8 @@
 //! # inl-exec
 //!
 //! Execution of `inl-ir` programs: a reference interpreter, execution
-//! traces, equivalence checking, and a parallel executor for loops the
-//! framework has proven dependence-free.
+//! traces, equivalence checking, and a parallel executor (on the bytecode
+//! VM) for loops the framework has proven dependence-free.
 //!
 //! The interpreter is the framework's ground truth: a *legal* loop
 //! transformation preserves, per memory location, the order of every write

@@ -1,8 +1,13 @@
 //! Robustness tests for the execution layer: non-unit steps, guard
 //! combinations, deep nests, empty programs, and executor agreement.
 
+use inl_core::depend::analyze;
+use inl_core::instance::{InstanceLayout, Position};
+use inl_core::legal::check_legal;
+use inl_core::parallel::parallel_slots;
 use inl_exec::{run_fresh, run_traced, Interpreter, Machine, ParallelExecutor};
-use inl_ir::{zoo, Aff, Bound, Expr, Guard, ProgramBuilder};
+use inl_ir::{zoo, Aff, Bound, Expr, Guard, Program, ProgramBuilder};
+use inl_linalg::IMat;
 
 #[test]
 fn non_unit_steps_execute_correct_lattice() {
@@ -83,11 +88,26 @@ fn three_dimensional_arrays() {
     assert_eq!(a.get(&[0, 0, 0]), -1.0); // untouched boundary
 }
 
+/// Mark every loop the framework certifies DOALL under the identity
+/// schedule (`parallel_slots`, mapped from layout slots back to loops).
+fn mark_certified_loops(p: &mut Program) {
+    let layout = InstanceLayout::new(p);
+    let deps = analyze(p, &layout).expect("analysis");
+    let id = IMat::identity(layout.len());
+    let report = check_legal(p, &layout, &deps, &id).expect("legality");
+    let ast = report.new_ast.as_ref().expect("identity schedule is legal");
+    for slot in parallel_slots(&layout, &deps, ast, &id) {
+        if let Position::Loop(l) = layout.positions()[slot] {
+            p.set_loop_parallel(l, true);
+        }
+    }
+}
+
 #[test]
 fn executors_agree_on_every_zoo_program() {
-    // sequential interpreter vs. the (unmarked, hence sequential-order)
-    // parallel executor: bitwise identical across the zoo
-    for p in [
+    // sequential interpreter vs. the parallel executor with every
+    // certified loop marked DOALL: bitwise identical across the zoo
+    for mut p in [
         zoo::simple_cholesky(),
         zoo::running_example(),
         zoo::perfect_nest(),
@@ -100,14 +120,24 @@ fn executors_agree_on_every_zoo_program() {
         zoo::row_prefix_sums(),
         zoo::independent_pair(),
     ] {
+        mark_certified_loops(&mut p);
         let params: Vec<i128> = vec![5; p.nparams()];
         let init = |_: &str, idx: &[usize]| (idx.iter().sum::<usize>() + 2) as f64 * 1.75;
         let mut a = Machine::new(&p, &params, &init);
         Interpreter::new(&p).run(&mut a);
         let mut b = Machine::new(&p, &params, &init);
-        ParallelExecutor::new(&p, 2).run(&mut b);
+        let ((), capture) = inl_obs::capture::with(|| ParallelExecutor::new(&p, 2).run_vm(&mut b));
         a.same_state(&b)
             .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        // the wavefront counter fires on the dispatching (capturing) thread
+        let wavefronts = capture
+            .counters
+            .get("exec.par.wavefronts")
+            .copied()
+            .unwrap_or(0);
+        if ["row_prefix_sums", "independent_pair"].contains(&p.name()) {
+            assert!(wavefronts > 0, "{}: no wavefront dispatched", p.name());
+        }
     }
 }
 

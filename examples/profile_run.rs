@@ -54,7 +54,7 @@ fn main() {
     par.set_loop_parallel(j, true);
     let reference = run_fresh(&par, &[n], &spd);
     let mut machine = Machine::new(&par, &[n], &spd);
-    ParallelExecutor::new(&par, 4).run(&mut machine);
+    ParallelExecutor::new(&par, 4).run_vm(&mut machine);
     reference
         .same_state(&machine)
         .expect("parallel run bitwise identical");

@@ -4,8 +4,6 @@
 //!
 //! ```sh
 //! cargo run --example vm_backend
-//! # backend selection from the environment (used by library callers):
-//! INL_BACKEND=vm cargo run --example vm_backend
 //! ```
 
 use inl::exec::{run_fresh, run_fresh_with, Backend, Machine, VmRunner};
@@ -22,12 +20,15 @@ fn spd(_: &str, idx: &[usize]) -> f64 {
 fn main() {
     let p = zoo::cholesky_kij();
 
-    // `Backend` is the one-shot entry point: `from_env` honours
-    // INL_BACKEND=vm|interp, defaulting to the interpreter.
-    let backend = Backend::from_env();
-    println!("backend from INL_BACKEND: {backend:?}");
-    let m = run_fresh_with(backend, &p, &[6], &spd);
-    println!("A[0..4] = {:?}\n", &m.array_by_name("A").unwrap()[..4]);
+    // `Backend` is the one-shot entry point: pick a backend per call.
+    for backend in [Backend::Interp, Backend::Vm] {
+        let m = run_fresh_with(backend, &p, &[6], &spd);
+        println!(
+            "{backend:?}: A[0..4] = {:?}",
+            &m.array_by_name("A").unwrap()[..4]
+        );
+    }
+    println!();
 
     // The two-stage lowering, spelled out. `compile` is parameter-
     // symbolic: bounds, guards and subscripts become integer coefficient

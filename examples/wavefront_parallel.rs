@@ -14,7 +14,7 @@ use inl::core::instance::InstanceLayout;
 use inl::core::legal::check_legal;
 use inl::core::parallel::{parallel_rows, parallel_slots};
 use inl::core::transform::Transform;
-use inl::exec::{Interpreter, Machine, ParallelExecutor};
+use inl::exec::{Interpreter, Machine, ParallelExecutor, VmRunner};
 use inl::ir::zoo;
 use std::time::Instant;
 
@@ -61,11 +61,10 @@ fn main() {
     result.program.set_loop_parallel(inner, true);
     println!("== skewed program ==\n{}", result.program.to_pseudocode());
 
-    // Correctness of the parallel wavefront schedule. (With the reference
-    // interpreter, spawning one thread team per anti-diagonal costs more
-    // than the tiny per-iteration work saves — the *schedule* is what the
-    // framework certifies; compiled kernels in `inl-bench` show the
-    // speedup.)
+    // Correctness of the parallel wavefront schedule. (Even on the bytecode
+    // VM, spawning one thread team per anti-diagonal costs more than the
+    // tiny per-iteration work saves — the *schedule* is what the framework
+    // certifies; compiled kernels in `inl-bench` show the speedup.)
     let n: i128 = 300;
     let init = |_: &str, idx: &[usize]| {
         if idx[0] == 0 || idx[1] == 0 {
@@ -78,12 +77,12 @@ fn main() {
     Interpreter::new(&p).run(&mut seq);
     for threads in [2, 4] {
         let mut par = Machine::new(&result.program, &[n], &init);
-        ParallelExecutor::new(&result.program, threads).run(&mut par);
+        ParallelExecutor::new(&result.program, threads).run_vm(&mut par);
         seq.same_state(&par).expect("bitwise identical");
         println!("wavefront, {threads} threads: bitwise identical ✓");
     }
 
-    // For an end-to-end *speedup* inside the interpreter, a loop whose
+    // For an end-to-end *speedup* of the parallel executor, a loop whose
     // OUTER slot is dependence-free works: one thread team for the whole
     // run. Row-wise prefix sums keep every dependence inside a row, so the
     // nullspace of the dependence matrix contains the outer direction.
@@ -102,15 +101,17 @@ fn main() {
 
     let n: i128 = 2500;
     let init2 = |_: &str, idx: &[usize]| (idx[0] + idx[1]) as f64 * 0.001;
+    // sequential baseline on the same (VM) backend, so the ratio is the
+    // threads' gain alone
     let mut seq = Machine::new(&q, &[n], &init2);
     let t0 = Instant::now();
-    Interpreter::new(&q).run(&mut seq);
+    VmRunner::new(&q).run(&mut seq);
     let t_seq = t0.elapsed();
-    println!("sequential: {t_seq:>8.1?}");
+    println!("sequential (vm): {t_seq:>8.1?}");
     for threads in [1, 2, 4, 8] {
         let mut par = Machine::new(&qpar, &[n], &init2);
         let t0 = Instant::now();
-        ParallelExecutor::new(&qpar, threads).run(&mut par);
+        ParallelExecutor::new(&qpar, threads).run_vm(&mut par);
         let t_par = t0.elapsed();
         seq.same_state(&par).expect("bitwise identical");
         println!(

@@ -1,4 +1,6 @@
-//! Property-based tests on the framework's invariants:
+//! Property-based tests on the framework's invariants, over the random
+//! imperfectly nested programs of [`inl_fuzz::arb_program`] (shapes,
+//! triangular bounds, guards, sibling nests):
 //!
 //! * Theorem 1: execution order = lexicographic order on instance vectors,
 //!   for *random* imperfectly nested programs;
@@ -13,78 +15,11 @@ use inl::core::depend::analyze;
 use inl::core::instance::InstanceLayout;
 use inl::core::transform::Transform;
 use inl::exec::{equivalent, run_traced};
-use inl::ir::{Aff, Expr, Program, ProgramBuilder};
+use inl::ir::Program;
 use inl::linalg::lex::lex_cmp;
+use inl_fuzz::arb_program;
 use proptest::prelude::*;
 use std::cmp::Ordering;
-
-/// A random imperfectly nested program over one parameter N and one or two
-/// arrays. The generator chooses a shape (how statements and an inner loop
-/// interleave) and per-statement affine accesses with small offsets.
-fn arb_program() -> impl Strategy<Value = Program> {
-    (
-        0..3usize,       // shape selector
-        -1..=1i64,       // read offset a
-        -1..=1i64,       // read offset b
-        prop::bool::ANY, // inner loop triangular?
-        prop::bool::ANY, // second statement reads x or y
-    )
-        .prop_map(|(shape, oa, ob, triangular, cross)| {
-            build_program(shape, oa as i128, ob as i128, triangular, cross)
-        })
-}
-
-fn build_program(shape: usize, oa: i128, ob: i128, triangular: bool, cross: bool) -> Program {
-    let mut b = ProgramBuilder::new(format!("rand_{shape}_{oa}_{ob}_{triangular}_{cross}"));
-    let n = b.param("N");
-    // generous extents so offsets of ±1 stay in range (indices shifted +2)
-    let ext = Aff::param(n) + Aff::konst(4);
-    let x = b.array("X", &[ext.clone(), ext.clone()]);
-    let y = b.array("Y", &[ext.clone(), ext.clone()]);
-    let sh = |v: Aff| v + Aff::konst(2); // index shift
-    b.hloop("I", Aff::konst(1), Aff::param(n), |b| {
-        let i = b.loop_var("I");
-        if shape != 1 {
-            b.stmt(
-                "S1",
-                x,
-                vec![sh(Aff::var(i)), sh(Aff::var(i))],
-                Expr::add(
-                    Expr::read(x, vec![sh(Aff::var(i) + Aff::konst(oa)), sh(Aff::var(i))]),
-                    Expr::konst(1.0),
-                ),
-            );
-        }
-        let jlo = if triangular {
-            Aff::var(i)
-        } else {
-            Aff::konst(1)
-        };
-        b.hloop("J", jlo, Aff::param(n), |b| {
-            let i = b.loop_var("I");
-            let j = b.loop_var("J");
-            let src = if cross { x } else { y };
-            b.stmt(
-                "S2",
-                y,
-                vec![sh(Aff::var(i)), sh(Aff::var(j))],
-                Expr::add(
-                    Expr::read(src, vec![sh(Aff::var(i) + Aff::konst(ob)), sh(Aff::var(j))]),
-                    Expr::index(Aff::var(i) + Aff::var(j)),
-                ),
-            );
-        });
-        if shape == 2 {
-            b.stmt(
-                "S3",
-                x,
-                vec![sh(Aff::var(i)), sh(Aff::konst(0))],
-                Expr::read(y, vec![sh(Aff::var(i)), sh(Aff::konst(1))]),
-            );
-        }
-    });
-    b.finish()
-}
 
 /// A random transformation sequence over the program's loops/statements.
 fn arb_transforms(p: &Program) -> impl Strategy<Value = Vec<Transform>> {

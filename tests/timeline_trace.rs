@@ -54,7 +54,7 @@ fn parallel_cholesky_trace_loads_as_chrome_json_with_worker_tids() {
     let n: i128 = 64;
     let reference = run_fresh(&p, &[n], &spdish);
     let mut par = Machine::new(&p, &[n], &spdish);
-    ParallelExecutor::new(&p, 4).run(&mut par);
+    ParallelExecutor::new(&p, 4).run_vm(&mut par);
     reference
         .same_state(&par)
         .expect("parallel run bitwise identical");
